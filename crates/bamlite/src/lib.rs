@@ -16,8 +16,11 @@
 //!
 //! The **BAL** ("Binary ALignment-lite") format provides exactly that, with
 //! honest-but-simple codecs instead of DEFLATE: delta+varint positions,
-//! 2-bit packed bases, run-length-encoded qualities. See `DESIGN.md`
-//! (Substitutions) for the BGZF-equivalence argument.
+//! 2-bit packed bases, run-length-encoded qualities. It stands in for
+//! BAM's BGZF container because the caller depends only on properties
+//! both share — independently decodable blocks, a region → block index,
+//! shared immutable bytes — not on the codec inside a block. The
+//! README's "BAL format" section describes the v1/v2/v3 layouts.
 //!
 //! # On-disk ingest: the `ByteSource` tiers
 //!

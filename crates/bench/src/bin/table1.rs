@@ -61,7 +61,7 @@ fn main() {
         // Degraded preset's ~10× error rate keeps each tier's per-column
         // mismatch burden λ = Σ pᵢ at the paper's level — λ is what the
         // exact DP's cost grows with, so scaling *it* preserves the
-        // speedup shape (see DESIGN.md, Substitutions).
+        // speedup shape.
         let spec = DatasetSpec::new(*label, depth, 0xD47A + i as u64)
             .with_variants(8, 0.01, 0.05)
             .with_quality(ultravc_readsim::QualityPreset::Degraded);

@@ -1,7 +1,7 @@
 //! # ultravc-bench
 //!
 //! Benchmark harnesses that regenerate **every table and figure** of the
-//! paper, plus the ablations DESIGN.md commits to. Each harness is a
+//! paper, plus the ablations in the table below. Each harness is a
 //! binary (`cargo run -p ultravc-bench --release --bin <name>`):
 //!
 //! | binary             | regenerates                                        |

@@ -6,6 +6,21 @@
 //! touch it (i.e. the next record starts past it). Peak memory is
 //! `O(read_len × depth_cap)` packed entries, independent of file size.
 //!
+//! # Absorbing a read
+//!
+//! Every source hands its records to one routine, `absorb`, which works
+//! per CIGAR **match run** rather than per base: a run is clipped to the
+//! region once, the ring grows once to the run's last column, and the
+//! run's base-code and quality slices are zipped against the ring's
+//! contiguous columns. Per base, only a slot-table lookup (the `min_baseq`
+//! filter and the histogram slot in one) and the depth-capped push remain.
+//!
+//! *Ring seeding.* An empty ring is seeded at the absorbed record's first
+//! **in-region** position — not at its first base that passes the quality
+//! filter. A following read at the same start may cover columns whose
+//! bases the first read filtered out; seeding past them would put those
+//! columns behind the emission front.
+//!
 //! # Ingest paths
 //!
 //! Three sources can feed the ring, all producing **bitwise-identical**
@@ -13,14 +28,14 @@
 //!
 //! * **Batch** (default) — blocks decode into a reusable [`RecordBatch`]
 //!   arena via [`BalReader::decode_batch`]; bases are stacked straight
-//!   from bin indices ([`PileupColumn::push_slot_capped`]), the
-//!   `min_baseq` filter is one bin-index comparison, and a batch freelist
-//!   mirrors the column freelist so steady state performs zero
+//!   from bin indices ([`PileupColumn::push_slot_capped`]) and a batch
+//!   freelist mirrors the column freelist so steady state performs zero
 //!   allocations.
 //! * **Legacy** — the per-record [`Record`] shim
-//!   ([`BalReader::decode_block`]); selectable per call or globally with
-//!   `ULTRAVC_LEGACY_DECODE=1`, which is what CI's ingest-parity leg
-//!   pins.
+//!   ([`BalReader::decode_block`]); each record's bases are unpacked into
+//!   scratch and its Phred scores index their own slot table. Selectable
+//!   per call or globally with `ULTRAVC_LEGACY_DECODE=1`, which is what
+//!   CI's ingest-parity leg pins.
 //! * **Shared** ([`pileup_region_cached`]) — batches come from a
 //!   run-scoped [`SharedBlockCache`], so parallel workers whose chunks
 //!   straddle a block boundary decode that block exactly once per run.
@@ -35,9 +50,10 @@ use crate::column::PileupEntry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use ultravc_bamlite::{
-    BalError, BalFile, BalReader, BlockWindow, DecodeStats, QualityDict, Record, RecordBatch,
-    RecordView, SharedBlockCache,
+    BalError, BalFile, BalReader, BlockWindow, CigarOp, DecodeStats, Flags, QualityDict, Record,
+    RecordBatch, RecordView, SharedBlockCache,
 };
+use ultravc_genome::phred::MAX_PHRED;
 
 /// Which decode path feeds the pileup ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -116,6 +132,8 @@ pub fn pileup_region(file: &BalFile, start: u32, end: u32, params: PileupParams)
     let source = match params.ingest.resolved() {
         ResolvedIngest::Legacy => Source::Legacy {
             buffered: VecDeque::new(),
+            codes: Vec::new(),
+            quals: Vec::new(),
         },
         ResolvedIngest::Batch => Source::Batch {
             cur: None,
@@ -191,8 +209,13 @@ const BATCH_FREELIST_CAP: usize = 4;
 
 /// Where decoded records come from.
 enum Source {
-    /// Owned-`Record` decode (compatibility shim).
-    Legacy { buffered: VecDeque<Record> },
+    /// Owned-`Record` decode (compatibility shim). `codes` and `quals`
+    /// are scratch for the current record's unpacked bases and raw scores.
+    Legacy {
+        buffered: VecDeque<Record>,
+        codes: Vec<u8>,
+        quals: Vec<u8>,
+    },
     /// Arena batches decoded by this iterator, recycled through a
     /// freelist.
     Batch {
@@ -215,11 +238,10 @@ pub struct PileupIter {
     blocks: Arc<[usize]>,
     next_block: usize,
     source: Source,
-    /// The file's quality dictionary (identity for v1 files).
-    dict: Arc<QualityDict>,
-    /// Bins `>= bin_cutoff` fail the `min_baseq` filter (the dictionary
-    /// is sorted descending, so too-low qualities are a suffix).
-    bin_cutoff: u8,
+    /// Per-base quality code → histogram slot (or [`SKIP`]), over the
+    /// file's quality bins for batch sources and over raw Phred scores
+    /// for the legacy source.
+    slot_of: SlotTable,
     /// In-flight columns, front = lowest position. Invariant: contiguous
     /// positions `ring[0].pos .. ring[0].pos + ring.len()`.
     ring: VecDeque<PileupColumn>,
@@ -257,15 +279,18 @@ impl PileupIter {
         params: PileupParams,
         source: Source,
     ) -> Self {
-        let dict = Arc::clone(file.quality_dict());
-        let bin_cutoff = dict.bins_at_least(params.min_baseq);
+        let slot_of = match source {
+            Source::Legacy { .. } => phred_slots(params.min_baseq),
+            Source::Batch { .. } | Source::Shared { .. } => {
+                bin_slots(file.quality_dict(), params.min_baseq)
+            }
+        };
         PileupIter {
             reader: file.reader(),
             blocks,
             next_block: 0,
             source,
-            dict,
-            bin_cutoff,
+            slot_of,
             ring: VecDeque::new(),
             free: Vec::new(),
             start,
@@ -323,7 +348,7 @@ impl PileupIter {
     fn ensure_record(&mut self) -> Option<u32> {
         loop {
             match &self.source {
-                Source::Legacy { buffered } => {
+                Source::Legacy { buffered, .. } => {
                     if let Some(rec) = buffered.front() {
                         return Some(rec.pos);
                     }
@@ -366,7 +391,7 @@ impl PileupIter {
             ..
         } = self;
         match source {
-            Source::Legacy { buffered } => {
+            Source::Legacy { buffered, .. } => {
                 buffered.extend(reader.decode_block(block_id)?);
             }
             Source::Batch { cur, cursor, spare } => {
@@ -397,6 +422,7 @@ impl PileupIter {
 
     /// Fold the current record's aligned bases into the ring and advance
     /// past it. Must follow a successful [`PileupIter::ensure_record`].
+    /// Every source reaches the one run-based [`absorb`] routine.
     fn absorb_current(&mut self) {
         let Self {
             source,
@@ -405,27 +431,69 @@ impl PileupIter {
             params,
             start,
             end,
-            dict,
-            bin_cutoff,
+            slot_of,
             ..
         } = self;
+        let region = (*start, *end);
         match source {
-            Source::Legacy { buffered } => {
+            Source::Legacy {
+                buffered,
+                codes,
+                quals,
+            } => {
                 let rec = buffered.pop_front().expect("ensured record");
-                absorb_record(ring, free, params, *start, *end, &rec);
+                if keeps_read(params, rec.flags, rec.mapq) {
+                    codes.clear();
+                    codes.extend(rec.seq.iter().map(|b| b.code()));
+                    quals.clear();
+                    quals.extend(rec.quals.iter().map(|q| q.0));
+                    let read = AlignedRead {
+                        pos: rec.pos,
+                        end_pos: rec.end_pos(),
+                        reverse: rec.flags.is_reverse(),
+                        ops: rec.cigar.ops(),
+                        codes,
+                        quals,
+                    };
+                    absorb(ring, free, region, params.max_depth, slot_of, read);
+                }
             }
             Source::Batch { cur, cursor, .. } => {
                 let view = cur.as_ref().expect("ensured batch").view(*cursor);
                 *cursor += 1;
-                absorb_view(ring, free, params, *start, *end, view, dict, *bin_cutoff);
+                absorb_view(ring, free, region, params, slot_of, view);
             }
             Source::Shared { cur, cursor, .. } => {
                 let view = cur.as_ref().expect("ensured batch").view(*cursor);
                 *cursor += 1;
-                absorb_view(ring, free, params, *start, *end, view, dict, *bin_cutoff);
+                absorb_view(ring, free, region, params, slot_of, view);
             }
         }
     }
+}
+
+/// [`absorb`] an arena record: its bases and quality-bin indices are
+/// already contiguous per-record slices, so nothing is unpacked.
+fn absorb_view(
+    ring: &mut VecDeque<PileupColumn>,
+    free: &mut Vec<PileupColumn>,
+    region: (u32, u32),
+    params: &PileupParams,
+    slot_of: &SlotTable,
+    view: RecordView<'_>,
+) {
+    if !keeps_read(params, view.flags(), view.mapq()) {
+        return;
+    }
+    let read = AlignedRead {
+        pos: view.pos(),
+        end_pos: view.end_pos(),
+        reverse: view.flags().is_reverse(),
+        ops: view.cigar_ops(),
+        codes: view.base_codes(),
+        quals: view.bin_indices(),
+    };
+    absorb(ring, free, region, params.max_depth, slot_of, read);
 }
 
 /// A blank column at `pos`, reusing a retired buffer when available.
@@ -439,98 +507,124 @@ fn fresh_column(free: &mut Vec<PileupColumn>, pos: u32) -> PileupColumn {
     }
 }
 
-/// Grow the ring (preserving contiguity) to contain `pos`.
-fn ensure_column(ring: &mut VecDeque<PileupColumn>, free: &mut Vec<PileupColumn>, pos: u32) {
-    match ring.front() {
-        None => {
-            let col = fresh_column(free, pos);
-            ring.push_back(col);
+/// Per-base quality code → histogram slot, or [`SKIP`] for a base the
+/// `min_baseq` filter drops. Batch sources index it by quality-bin index,
+/// the legacy source by raw Phred score, so both reach the same absorb
+/// loop with the filter and the slot resolution folded into one lookup.
+type SlotTable = [u8; 256];
+
+/// [`SlotTable`] entry for a filtered base (no slot is this high).
+const SKIP: u8 = u8::MAX;
+
+/// Slot table over a file's quality-bin indices: bins below the
+/// dictionary's `min_baseq` cutoff resolve to their score (the dictionary
+/// is sorted descending, so too-low qualities are a suffix of bins).
+fn bin_slots(dict: &QualityDict, min_baseq: u8) -> SlotTable {
+    let mut table = [SKIP; 256];
+    let cutoff = dict.bins_at_least(min_baseq) as usize;
+    for (slot, q) in table.iter_mut().zip(&dict.quals()[..cutoff]) {
+        *slot = q.0;
+    }
+    table
+}
+
+/// Slot table over raw Phred scores: scores at or above `min_baseq`
+/// resolve to their clamped slot.
+fn phred_slots(min_baseq: u8) -> SlotTable {
+    let mut table = [SKIP; 256];
+    for (q, slot) in table.iter_mut().enumerate().skip(min_baseq as usize) {
+        *slot = (q as u8).min(MAX_PHRED);
+    }
+    table
+}
+
+/// Whether a read passes the read-level filters (flags, mapping quality).
+fn keeps_read(params: &PileupParams, flags: Flags, mapq: u8) -> bool {
+    !(params.skip_flagged && flags.is_filtered()) && mapq >= params.min_mapq
+}
+
+/// One read as [`absorb`] consumes it: its alignment shape plus per-base
+/// code and quality slices (indexed by query position).
+struct AlignedRead<'a> {
+    pos: u32,
+    end_pos: u32,
+    reverse: bool,
+    ops: &'a [CigarOp],
+    codes: &'a [u8],
+    quals: &'a [u8],
+}
+
+/// Fold one read's in-region aligned bases into the ring, one CIGAR match
+/// run at a time: each run is clipped to the region once, the ring grows
+/// once to the run's last column, and the run's base and quality slices
+/// are zipped against the ring's contiguous columns. A base is stacked
+/// iff its [`SlotTable`] entry is not [`SKIP`], subject to the column's
+/// depth cap, so pushes land in the same columns in the same record order
+/// as a per-base walk of the alignment.
+///
+/// An empty ring is seeded at the read's first in-region position, not at
+/// its first base that passes the quality filter. Records arrive sorted
+/// by position and only records starting at or before the front column
+/// are absorbed, so every later read's in-region bases lie at or past the
+/// front: a read whose leading bases fail the filter cannot leave the
+/// ring starting past a column a following read still covers.
+fn absorb(
+    ring: &mut VecDeque<PileupColumn>,
+    free: &mut Vec<PileupColumn>,
+    region: (u32, u32),
+    max_depth: usize,
+    slot_of: &SlotTable,
+    read: AlignedRead<'_>,
+) {
+    let lo = read.pos.max(region.0);
+    let hi = read.end_pos.min(region.1);
+    if lo >= hi {
+        return;
+    }
+    if ring.is_empty() {
+        ring.push_back(fresh_column(free, lo));
+    }
+    let front = ring.front().expect("seeded above").pos;
+    debug_assert!(
+        lo >= front,
+        "records must not reach behind the emission front"
+    );
+    let mut ref_pos = read.pos;
+    let mut query = 0usize;
+    for &op in read.ops {
+        if ref_pos >= hi {
+            break;
         }
-        Some(front) => {
-            let front_pos = front.pos;
-            debug_assert!(
-                pos >= front_pos,
-                "records must not reach behind the emission front"
-            );
-            let mut next = front_pos + ring.len() as u32;
-            while next <= pos {
-                let col = fresh_column(free, next);
-                ring.push_back(col);
-                next += 1;
+        match op {
+            CigarOp::Match(n) => {
+                let run_lo = ref_pos.max(lo);
+                let run_hi = (ref_pos + n).min(hi);
+                if run_lo < run_hi {
+                    let len = (run_hi - run_lo) as usize;
+                    let q0 = query + (run_lo - ref_pos) as usize;
+                    let mut next = front + ring.len() as u32;
+                    while next < run_hi {
+                        ring.push_back(fresh_column(free, next));
+                        next += 1;
+                    }
+                    let first = (run_lo - front) as usize;
+                    let codes = &read.codes[q0..q0 + len];
+                    let quals = &read.quals[q0..q0 + len];
+                    for ((col, &code), &q) in
+                        ring.range_mut(first..first + len).zip(codes).zip(quals)
+                    {
+                        let slot = slot_of[q as usize];
+                        if slot != SKIP {
+                            col.push_slot_capped(code, read.reverse, slot, max_depth);
+                        }
+                    }
+                }
+                ref_pos += n;
+                query += n as usize;
             }
+            CigarOp::Ins(n) | CigarOp::SoftClip(n) => query += n as usize,
+            CigarOp::Del(n) => ref_pos += n,
         }
-    }
-}
-
-/// Legacy-path absorb: fold an owned record's aligned bases into the ring.
-fn absorb_record(
-    ring: &mut VecDeque<PileupColumn>,
-    free: &mut Vec<PileupColumn>,
-    params: &PileupParams,
-    start: u32,
-    end: u32,
-    rec: &Record,
-) {
-    if params.skip_flagged && rec.flags.is_filtered() {
-        return;
-    }
-    if rec.mapq < params.min_mapq {
-        return;
-    }
-    let reverse = rec.flags.is_reverse();
-    for (ref_pos, base, qual) in rec.aligned_bases() {
-        if ref_pos < start || ref_pos >= end {
-            continue;
-        }
-        if qual.0 < params.min_baseq {
-            continue;
-        }
-        ensure_column(ring, free, ref_pos);
-        let front_pos = ring.front().expect("ensured non-empty").pos;
-        let idx = (ref_pos - front_pos) as usize;
-        ring[idx].push_slot_capped(
-            base.code(),
-            reverse,
-            qual.0.min(ultravc_genome::phred::MAX_PHRED),
-            params.max_depth,
-        );
-    }
-}
-
-/// Batch-path absorb: stack bin indices straight from the arena view. The
-/// quality filter is a single comparison against the dictionary cutoff and
-/// the push resolves each bin to its histogram slot through the (L1-sized)
-/// dictionary — no per-base Phred construction, no clamping.
-#[allow(clippy::too_many_arguments)]
-fn absorb_view(
-    ring: &mut VecDeque<PileupColumn>,
-    free: &mut Vec<PileupColumn>,
-    params: &PileupParams,
-    start: u32,
-    end: u32,
-    view: RecordView<'_>,
-    dict: &QualityDict,
-    bin_cutoff: u8,
-) {
-    if params.skip_flagged && view.flags().is_filtered() {
-        return;
-    }
-    if view.mapq() < params.min_mapq {
-        return;
-    }
-    let reverse = view.flags().is_reverse();
-    let slots = dict.quals();
-    for (ref_pos, base_code, bin) in view.aligned() {
-        if ref_pos < start || ref_pos >= end {
-            continue;
-        }
-        if bin >= bin_cutoff {
-            continue;
-        }
-        ensure_column(ring, free, ref_pos);
-        let front_pos = ring.front().expect("ensured non-empty").pos;
-        let idx = (ref_pos - front_pos) as usize;
-        ring[idx].push_slot_capped(base_code, reverse, slots[bin as usize].0, params.max_depth);
     }
 }
 
@@ -784,9 +878,10 @@ mod tests {
         assert_eq!(whole, split);
     }
 
-    /// A mixed workload: overlapping reads, strand variety, deletion and
-    /// soft-clip CIGARs, low-quality bases, sub-threshold mapq, flagged
-    /// reads.
+    /// A mixed workload: overlapping reads, strand variety, deletion,
+    /// insertion and soft-clip CIGARs, low-quality bases (including Q2 at
+    /// read starts and match-run ends), sub-threshold mapq, flagged reads,
+    /// and a detached cluster whose first read opens on a filtered base.
     fn varied_records() -> Vec<Record> {
         let mut records = Vec::new();
         for i in 0..120u64 {
@@ -812,10 +907,49 @@ mod tests {
                 )
                 .unwrap();
             }
+            if i % 5 == 3 {
+                // Q2 on the first base and on the last base of each run.
+                let quals = (0..12)
+                    .map(|j| Phred::new(if [0, 2, 8, 11].contains(&j) { 2 } else { q }))
+                    .collect();
+                rec = Record::new(
+                    i,
+                    pos,
+                    60,
+                    flags,
+                    Seq::from_ascii(b"ACGTACGTACGT").unwrap(),
+                    quals,
+                    Cigar::parse("3M2I4M1D3M").unwrap(),
+                )
+                .unwrap();
+            }
             if i % 11 == 0 {
                 rec.mapq = 5;
             }
             records.push(rec);
+        }
+        // Past every read above, so the ring is empty when the cluster
+        // arrives: its first read's filtered leading bases are covered by
+        // the reads that follow it.
+        for (k, (lead_q, cigar)) in [(2, "6M"), (30, "6M"), (2, "1S5M"), (30, "2M1I3M")]
+            .into_iter()
+            .enumerate()
+        {
+            let quals = (0..6)
+                .map(|j| Phred::new(if j < 2 { lead_q } else { 30 }))
+                .collect();
+            records.push(
+                Record::new(
+                    0,
+                    150 + (k as u32 / 2),
+                    60,
+                    Flags::none(),
+                    Seq::from_ascii(b"ACGTAC").unwrap(),
+                    quals,
+                    Cigar::parse(cigar).unwrap(),
+                )
+                .unwrap(),
+            );
         }
         records.sort_by_key(|r| r.pos);
         for (i, r) in records.iter_mut().enumerate() {
@@ -824,9 +958,76 @@ mod tests {
         records
     }
 
+    /// Per-base reference pileup: every aligned base of every record, in
+    /// file order, stacked into a position-keyed map — no ring, no runs.
+    fn per_base_pileup(
+        records: &[Record],
+        start: u32,
+        end: u32,
+        params: PileupParams,
+    ) -> Vec<PileupColumn> {
+        let mut cols = std::collections::BTreeMap::new();
+        for rec in records {
+            if (params.skip_flagged && rec.flags.is_filtered()) || rec.mapq < params.min_mapq {
+                continue;
+            }
+            for (pos, base, qual) in rec.aligned_bases() {
+                if pos < start || pos >= end || qual.0 < params.min_baseq {
+                    continue;
+                }
+                let entry = PileupEntry {
+                    base,
+                    qual,
+                    reverse: rec.flags.is_reverse(),
+                };
+                cols.entry(pos)
+                    .or_insert_with(|| PileupColumn::new(pos))
+                    .push_capped(entry, params.max_depth);
+            }
+        }
+        cols.into_values().collect()
+    }
+
+    /// Columns of `[start, end)` through every source: batch, legacy,
+    /// shared cache and planned window.
+    fn every_path(
+        f: &BalFile,
+        start: u32,
+        end: u32,
+        params: PileupParams,
+    ) -> Vec<(&'static str, Vec<PileupColumn>)> {
+        use ultravc_bamlite::IoPlan;
+        let with = |ingest| PileupParams { ingest, ..params };
+        let cache = Arc::new(SharedBlockCache::new(f.clone()));
+        let plan = IoPlan::for_regions(f, std::slice::from_ref(&(start..end)));
+        let planned = Arc::new(SharedBlockCache::for_plan(f.clone(), &plan));
+        vec![
+            (
+                "batch",
+                pileup_region(f, start, end, with(IngestMode::Batch)).collect(),
+            ),
+            (
+                "legacy",
+                pileup_region(f, start, end, with(IngestMode::Legacy)).collect(),
+            ),
+            (
+                "cached",
+                pileup_region_cached(&cache, start, end, params).collect(),
+            ),
+            (
+                "windowed",
+                pileup_region_windowed(&planned, &plan.windows()[0], params).collect(),
+            ),
+        ]
+    }
+
     #[test]
     fn batch_and_legacy_ingest_are_bitwise_identical() {
-        let f = file(varied_records());
+        // Every source, against a per-base reference, under depth caps,
+        // quality and read filters, and regions clipping reads at both
+        // ends.
+        let records = varied_records();
+        let f = file(records.clone());
         for params in [
             PileupParams::default(),
             PileupParams {
@@ -841,27 +1042,30 @@ mod tests {
                 ..PileupParams::default()
             },
         ] {
-            let batch: Vec<_> = pileup_region(
-                &f,
-                0,
-                200,
-                PileupParams {
-                    ingest: IngestMode::Batch,
-                    ..params
-                },
-            )
-            .collect();
-            let legacy: Vec<_> = pileup_region(
-                &f,
-                0,
-                200,
-                PileupParams {
-                    ingest: IngestMode::Legacy,
-                    ..params
-                },
-            )
-            .collect();
-            assert_eq!(batch, legacy, "{params:?}");
+            for (start, end) in [(0, 200), (3, 97), (10, 11), (151, 154), (60, 152)] {
+                let want = per_base_pileup(&records, start, end, params);
+                for (path, got) in every_path(&f, start, end, params) {
+                    assert_eq!(got, want, "{path} [{start}, {end}) {params:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_is_seeded_at_the_first_in_region_position() {
+        // The first read's leading base fails min_baseq; the second read
+        // covers that column. Seeding the ring at the first *passing* base
+        // put column 0 behind the emission front (an out-of-bounds ring
+        // index).
+        let read = |id, q0| {
+            let quals = vec![Phred::new(q0), Phred::new(30)];
+            let seq = Seq::from_ascii(b"AC").unwrap();
+            Record::full_match(id, 0, 60, Flags::none(), seq, quals).unwrap()
+        };
+        let f = file(vec![read(0, 2), read(1, 30)]);
+        for (path, cols) in every_path(&f, 0, 10, PileupParams::default()) {
+            let depths: Vec<(u32, usize)> = cols.iter().map(|c| (c.pos, c.depth())).collect();
+            assert_eq!(depths, vec![(0, 1), (1, 2)], "{path}");
         }
     }
 

@@ -37,6 +37,34 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Connect to `addr` with `timeout` bounding connect, read and write, and
+/// with Nagle's algorithm off: a request is one small segment, and
+/// holding it for the server's delayed ACK would stall each exchange by
+/// ~40 ms.
+fn connect(addr: SocketAddr, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let stream = match timeout {
+        Some(t) => TcpStream::connect_timeout(&addr, t)?,
+        None => TcpStream::connect(addr)?,
+    };
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Send one `GET` request head in a single write.
+fn send_get(
+    out: &mut TcpStream,
+    addr: SocketAddr,
+    path_and_query: &str,
+    close: bool,
+) -> io::Result<()> {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let head = format!("GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\n{connection}\r\n");
+    out.write_all(head.as_bytes())?;
+    out.flush()
+}
+
 /// A keep-alive client connection: issues sequential `GET`s over one
 /// TCP connection, reconnecting transparently when the server closes
 /// it (idle timeout, per-connection request cap, shutdown) or the
@@ -62,13 +90,7 @@ impl ClientConn {
 
     fn ensure_stream(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
         if self.stream.is_none() {
-            let stream = match self.timeout {
-                Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
-                None => TcpStream::connect(self.addr)?,
-            };
-            stream.set_read_timeout(self.timeout)?;
-            stream.set_write_timeout(self.timeout)?;
-            self.stream = Some(BufReader::new(stream));
+            self.stream = Some(BufReader::new(connect(self.addr, self.timeout)?));
         }
         Ok(self.stream.as_mut().expect("just ensured"))
     }
@@ -76,11 +98,7 @@ impl ClientConn {
     fn exchange(&mut self, path_and_query: &str) -> io::Result<Response> {
         let addr = self.addr;
         let reader = self.ensure_stream()?;
-        write!(
-            reader.get_mut(),
-            "GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\n\r\n"
-        )?;
-        reader.get_mut().flush()?;
+        send_get(reader.get_mut(), addr, path_and_query, false)?;
         read_response(reader)
     }
 
@@ -117,18 +135,8 @@ pub fn http_get(
     path_and_query: &str,
     timeout: Option<Duration>,
 ) -> io::Result<Response> {
-    let stream = match timeout {
-        Some(t) => TcpStream::connect_timeout(&addr, t)?,
-        None => TcpStream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let mut stream = stream;
-    write!(
-        stream,
-        "GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    let mut stream = connect(addr, timeout)?;
+    send_get(&mut stream, addr, path_and_query, true)?;
     read_response(&mut BufReader::new(stream))
 }
 

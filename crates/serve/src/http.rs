@@ -188,9 +188,37 @@ fn connection_value(close: bool) -> &'static str {
     }
 }
 
+/// A complete response head, blank line included. `framing` is the
+/// body-delimiting header line (`Content-Length` or `Transfer-Encoding`).
+fn response_head(
+    status: u16,
+    content_type: &str,
+    framing: &str,
+    extra_headers: &[(&str, String)],
+    close: bool,
+) -> Vec<u8> {
+    // Writing into a Vec cannot fail.
+    let mut head = Vec::with_capacity(256);
+    let _ = write!(
+        head,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{framing}\r\nConnection: {}\r\n",
+        reason(status),
+        connection_value(close)
+    );
+    for (k, v) in extra_headers {
+        let _ = write!(head, "{k}: {v}\r\n");
+    }
+    head.extend_from_slice(b"\r\n");
+    head
+}
+
 /// Write a complete (non-chunked) response with a known body. `close`
 /// states whether the server will close the connection after this
 /// response (the caller's keep-alive decision).
+///
+/// Head and body leave in a single `write_all`: a head written in
+/// pieces goes out as several small TCP segments, and Nagle's algorithm
+/// holds the last one until the peer's delayed ACK (~40 ms).
 pub fn write_response(
     out: &mut impl Write,
     status: u16,
@@ -199,25 +227,18 @@ pub fn write_response(
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        reason(status),
-        body.len(),
-        connection_value(close)
-    )?;
-    for (k, v) in extra_headers {
-        write!(out, "{k}: {v}\r\n")?;
-    }
-    out.write_all(b"\r\n")?;
-    out.write_all(body)?;
+    let framing = format!("Content-Length: {}", body.len());
+    let mut msg = response_head(status, content_type, &framing, extra_headers, close);
+    msg.extend_from_slice(body);
+    out.write_all(&msg)?;
     out.flush()
 }
 
 /// Write the head of a chunked response; follow with a [`ChunkedBody`]
 /// over the same stream and finish it. `close` as in
 /// [`write_response`] — a chunked body self-delimits, so the
-/// connection stays reusable when `false`.
+/// connection stays reusable when `false`. The head leaves in a single
+/// `write_all`.
 pub fn write_chunked_head(
     out: &mut impl Write,
     status: u16,
@@ -225,24 +246,26 @@ pub fn write_chunked_head(
     extra_headers: &[(&str, String)],
     close: bool,
 ) -> io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        reason(status),
-        connection_value(close)
-    )?;
-    for (k, v) in extra_headers {
-        write!(out, "{k}: {v}\r\n")?;
-    }
-    out.write_all(b"\r\n")
+    let framing = "Transfer-Encoding: chunked";
+    out.write_all(&response_head(
+        status,
+        content_type,
+        framing,
+        extra_headers,
+        close,
+    ))
 }
 
 /// A `Write` adapter that emits its input as HTTP/1.1 chunks, buffering
 /// up to a flush threshold so a streaming [`ultravc_vcf::VcfWriter`]
-/// writing line-by-line doesn't produce one chunk per record.
+/// writing line-by-line doesn't produce one chunk per record. Each chunk
+/// frame (size line, data, CRLF) leaves in a single `write_all`; the last
+/// frame carries the terminating zero-length chunk with it.
 pub struct ChunkedBody<W: Write> {
     out: W,
     buf: Vec<u8>,
+    /// Scratch the next frame is assembled in.
+    frame: Vec<u8>,
 }
 
 /// Flush threshold for [`ChunkedBody`]: one chunk per this many bytes.
@@ -254,24 +277,32 @@ impl<W: Write> ChunkedBody<W> {
         ChunkedBody {
             out,
             buf: Vec::with_capacity(CHUNK_FLUSH),
+            frame: Vec::new(),
         }
     }
 
-    fn emit_chunk(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
+    /// Send pending bytes as one chunk frame, followed in the same write
+    /// by the terminating zero-length chunk when `last`.
+    fn emit_frame(&mut self, last: bool) -> io::Result<()> {
+        self.frame.clear();
+        if !self.buf.is_empty() {
+            let _ = write!(self.frame, "{:x}\r\n", self.buf.len());
+            self.frame.extend_from_slice(&self.buf);
+            self.frame.extend_from_slice(b"\r\n");
+            self.buf.clear();
+        }
+        if last {
+            self.frame.extend_from_slice(b"0\r\n\r\n");
+        }
+        if self.frame.is_empty() {
             return Ok(());
         }
-        write!(self.out, "{:x}\r\n", self.buf.len())?;
-        self.out.write_all(&self.buf)?;
-        self.out.write_all(b"\r\n")?;
-        self.buf.clear();
-        Ok(())
+        self.out.write_all(&self.frame)
     }
 
     /// Flush pending bytes and write the terminating zero-length chunk.
     pub fn finish(mut self) -> io::Result<W> {
-        self.emit_chunk()?;
-        self.out.write_all(b"0\r\n\r\n")?;
+        self.emit_frame(true)?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -281,13 +312,13 @@ impl<W: Write> Write for ChunkedBody<W> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.buf.extend_from_slice(data);
         if self.buf.len() >= CHUNK_FLUSH {
-            self.emit_chunk()?;
+            self.emit_frame(false)?;
         }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.emit_chunk()?;
+        self.emit_frame(false)?;
         self.out.flush()
     }
 }
@@ -370,6 +401,49 @@ mod tests {
         let mut raw = Vec::new();
         ChunkedBody::new(&mut raw).finish().unwrap();
         assert_eq!(raw, b"0\r\n\r\n");
+    }
+
+    /// A sink that records each `write` call's bytes separately.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.writes.push(data.to_vec());
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_head_and_chunk_frame_is_one_write() {
+        let headers = [("X-A", "1".to_string()), ("X-B", "2".to_string())];
+        let mut out = CountingWrite::default();
+        write_response(&mut out, 200, "text/plain", &headers, b"body", false).unwrap();
+        assert_eq!(out.writes.len(), 1, "head and body in one write");
+        assert!(out.writes[0].ends_with(b"X-B: 2\r\n\r\nbody"));
+
+        let mut out = CountingWrite::default();
+        write_chunked_head(&mut out, 206, "text/plain", &headers, true).unwrap();
+        assert_eq!(out.writes.len(), 1, "chunked head in one write");
+
+        let mut out = CountingWrite::default();
+        let mut body = ChunkedBody::new(&mut out);
+        body.write_all(&vec![b'x'; CHUNK_FLUSH]).unwrap();
+        body.write_all(b"tail").unwrap();
+        body.flush().unwrap();
+        body.flush().unwrap(); // nothing pending: no empty write
+        body.write_all(b"end").unwrap();
+        body.finish().unwrap();
+        assert_eq!(out.writes.len(), 3, "one write per chunk frame");
+        assert_eq!(out.writes[0].len(), 4 + 2 + CHUNK_FLUSH + 2);
+        assert_eq!(out.writes[1], b"4\r\ntail\r\n");
+        assert_eq!(out.writes[2], b"3\r\nend\r\n0\r\n\r\n");
     }
 
     #[test]

@@ -541,6 +541,10 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     // Bound header parsing; doubles as the keep-alive idle timeout — a
     // stuck or silent client cannot pin the handler.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    // Responses go out as whole heads and chunk frames; with Nagle's
+    // algorithm on, a short tail segment would wait for the client's
+    // delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,

@@ -116,14 +116,16 @@ fn get(server: &Server, path: &str) -> ultravc_serve::Response {
     http_get(server.local_addr(), path, Some(Duration::from_secs(60))).unwrap()
 }
 
-/// Extract the queue depth gauge from the `/stats` JSON (hand-rolled
-/// JSON, hand-rolled scrape).
-fn queue_depth(server: &Server) -> usize {
+/// Extract one gauge of the `/stats` queue object (hand-rolled JSON,
+/// hand-rolled scrape): `depth` counts waiting jobs, `inflight_cost`
+/// sums the cost of queued and running calls.
+fn queue_gauge(server: &Server, name: &str) -> u64 {
     let stats = get(server, "/stats").text();
     let tail = stats
-        .split("\"queue\":{\"depth\":")
+        .split("\"queue\":{")
         .nth(1)
-        .unwrap_or_else(|| panic!("no queue gauge in {stats}"))
+        .and_then(|queue| queue.split(&format!("\"{name}\":")).nth(1))
+        .unwrap_or_else(|| panic!("no queue {name} gauge in {stats}"))
         .to_string();
     tail.chars()
         .take_while(|c| c.is_ascii_digit())
@@ -133,13 +135,13 @@ fn queue_depth(server: &Server) -> usize {
 }
 
 /// Poll until the queue holds exactly `depth` waiting jobs.
-fn wait_for_depth(server: &Server, depth: usize) {
+fn wait_for_depth(server: &Server, depth: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    while queue_depth(server) != depth {
+    while queue_gauge(server, "depth") != depth {
         assert!(
             Instant::now() < deadline,
             "queue never reached depth {depth} (at {})",
-            queue_depth(server)
+            queue_gauge(server, "depth")
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -409,23 +411,29 @@ fn small_requests_overtake_a_queued_whale_and_excess_cost_is_shed() {
     // Short reads → several blocks, so a 30-column span prices at a
     // small fraction of the whole file.
     let (bal, fa, chrom) = write_fixture(&dir, 61, 400, 400.0, 25);
-    let (total, small_cost) = {
+    let (total, small_cost, n_blocks) = {
         let probe = BalFile::open_with(&bal, SourceTier::Auto).unwrap();
         let small: u64 = probe
             .blocks_overlapping(0, 30)
             .iter()
             .map(|&i| probe.index()[i].n_records as u64)
             .sum();
-        (probe.n_records(), small)
+        (probe.n_records(), small, probe.n_blocks() as u64)
     };
+    // The whale must hold the single worker while the test queues a
+    // second whale and a small request behind it and sees a third whale
+    // shed: a dozen `/stats` polls and four requests. A whole-genome call
+    // reads every block once, so a slow device spreads `HOLD` over the
+    // file's blocks, and the hold does not depend on how fast calling
+    // itself is.
+    const HOLD: Duration = Duration::from_millis(1500);
+    let latency_us = HOLD.as_micros() as u64 / n_blocks;
     let mut config = ServeConfig::new("127.0.0.1:0");
-    // Slow device: a few ms per read, so a whole-genome whale holds the
-    // single worker long enough to observe queue order.
     config.samples.push(sample(
         "s",
         &bal,
         &fa,
-        Some(FaultPlan::parse("latency_us=5000").unwrap()),
+        Some(FaultPlan::parse(&format!("latency_us={latency_us}")).unwrap()),
     ));
     config.workers = 1;
     config.cache_capacity = 0;
@@ -448,12 +456,14 @@ fn small_requests_overtake_a_queued_whale_and_excess_cost_is_shed() {
             (resp.status, Instant::now())
         })
     };
-    // Whale 1 starts running (popped: depth back to 0, one admitted)...
+    // Whale 1 starts running: its cost is on the queue's books (it was
+    // pushed) and the queue is empty again (the worker popped it). The
+    // admission gauge alone would fire before the push.
     let w1 = whale(&server, &chrom);
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let depth = queue_depth(&server);
-        let running = get(&server, "/stats").text().contains("\"inflight\":1");
+        let depth = queue_gauge(&server, "depth");
+        let running = queue_gauge(&server, "inflight_cost") > 0;
         if depth == 0 && running {
             break;
         }
@@ -483,8 +493,13 @@ fn small_requests_overtake_a_queued_whale_and_excess_cost_is_shed() {
     assert_eq!(shed.status, 503, "{}", shed.text());
     assert!(shed.text().contains("cost budget"), "{}", shed.text());
     assert!(shed.header("retry-after").is_some());
+    let queue_set_up = Instant::now();
 
-    let (w1_status, _) = w1.join().unwrap();
+    let (w1_status, w1_done) = w1.join().unwrap();
+    assert!(
+        w1_done > queue_set_up,
+        "whale 1 released the worker before the queue was set up: HOLD too short"
+    );
     let (w2_status, w2_done) = w2.join().unwrap();
     let (small_status, small_done) = small.join().unwrap();
     assert_eq!((w1_status, w2_status, small_status), (200, 200, 200));

@@ -3,10 +3,10 @@
 //! The paper's shortcut is [`poisson_tail`]: the Hodges–Le Cam Poisson
 //! approximation with rate `λ = Σ p_i`, computed in `O(d)` (one pass to sum
 //! the probabilities, one incomplete-gamma evaluation). Three alternative
-//! approximations of the same tail are provided for the ablation study
-//! (experiment A-4 in DESIGN.md): the plain normal with continuity
-//! correction, the skewness-corrected refined normal of Hong (2013), and
-//! Röllin's translated Poisson. [`le_cam_bound`] gives the classic
+//! approximations of the same tail are provided for ablation A-4
+//! (`bench_pvalue_kernels` in `ultravc-bench`): the plain normal with
+//! continuity correction, the skewness-corrected refined normal of Hong
+//! (2013), and Röllin's translated Poisson. [`le_cam_bound`] gives the classic
 //! total-variation guarantee that justifies the shortcut at high depth.
 
 use crate::normal::Normal;

@@ -6,8 +6,8 @@
 //!
 //! Start with [`core`] for the variant caller (the paper's contribution) and
 //! [`readsim`] to generate the ultra-deep synthetic datasets the evaluation
-//! runs on. See the repository `README.md` for a guided tour and
-//! `DESIGN.md` for the full system inventory.
+//! runs on. See the repository `README.md` for a guided tour: the CLI,
+//! the BAL format, the serving layer and every environment knob.
 //!
 //! ```
 //! use ultravc::prelude::*;

@@ -127,3 +127,36 @@ fn same_seed_same_output_different_seed_different_reads() {
     let (_, c) = standard_setup(150.0, 0x5EED + 1);
     assert_ne!(bytes_of(&a), bytes_of(&c));
 }
+
+#[test]
+fn long_read_chunked_runs_are_complete_and_match_sequential() {
+    // Long-read qualities put sub-Q3 bases at the starts of reads that
+    // 8-column chunks clip into; every chunk must still pile up (no
+    // contained panic) and agree with one sequential pass.
+    use ultravc::readsim::quality::QualityPreset;
+    for seed in 1..=10u64 {
+        let reference = ReferenceGenome::sars_cov_2_like(GenomeParams::with_length(3_000), seed);
+        let dataset = DatasetSpec::new("long", 300.0, seed)
+            .with_quality(QualityPreset::LongRead)
+            .simulate(&reference);
+        let seq = CallDriver::sequential()
+            .run(&reference, &dataset.alignments)
+            .unwrap();
+        let driver = CallDriver {
+            mode: ParallelMode::OpenMp {
+                n_threads: 2,
+                schedule: Schedule::Dynamic { chunk: 1 },
+                chunk_columns: 8,
+            },
+            ..CallDriver::sequential()
+        };
+        let par = driver.run(&reference, &dataset.alignments).unwrap();
+        assert!(par.partial.is_empty(), "seed {seed}: {:?}", par.partial);
+        assert!(seq.partial.is_empty(), "seed {seed}: {:?}", seq.partial);
+        assert_eq!(
+            write_vcf(&reference.name, "it", &par.records),
+            write_vcf(&reference.name, "it", &seq.records),
+            "seed {seed}"
+        );
+    }
+}
